@@ -17,7 +17,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
-from repro.runtime.objects import HeapObject, iter_heap_refs
+from repro.runtime.objects import HeapObject, iter_heap_refs, scan_values
 
 
 class GlobalRoot(HeapObject):
@@ -46,18 +46,15 @@ class GlobalRoot(HeapObject):
         self.names.pop(name, None)
 
     def referents(self) -> Iterator[HeapObject]:
-        for value in self.names.values():
-            yield from iter_heap_refs(value)
+        return scan_values(self.names.values())
 
     def referents_excluding(self, names) -> Iterator[HeapObject]:
         """Referents with some entries hidden — used by the detector
         when static liveness hints declare certain globals dead (the
         paper's future-work extension).  Collection itself never uses
         this view: hinted globals stay in memory."""
-        for name, value in self.names.items():
-            if name in names:
-                continue
-            yield from iter_heap_refs(value)
+        return scan_values(value for name, value in self.names.items()
+                           if name not in names)
 
 
 class SweepResult:

@@ -33,7 +33,7 @@ from repro.errors import (
     SendOnClosedChannel,
 )
 from repro.runtime.goroutine import Sudog
-from repro.runtime.objects import WORD_SIZE, HeapObject, iter_heap_refs
+from repro.runtime.objects import WORD_SIZE, HeapObject, scan_values
 
 #: The zero value delivered by receives on closed, drained channels.
 ZERO_VALUE: Any = None
@@ -118,13 +118,10 @@ class Channel(HeapObject):
         return sum(1 for sd in self.recvq if sd.active)
 
     def referents(self) -> Iterator[HeapObject]:
-        for value in self.buffer:
-            yield from iter_heap_refs(value)
+        yield from scan_values(self.buffer)
         # Values held by parked senders are published to any receiver that
         # can reach the channel, so they are reachable through it.
-        for sd in self.sendq:
-            if sd.active:
-                yield from iter_heap_refs(sd.value)
+        yield from scan_values(sd.value for sd in self.sendq if sd.active)
 
     # -- checkpoint/restart support ------------------------------------------
 

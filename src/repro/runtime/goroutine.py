@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.runtime.objects import HeapObject, iter_heap_refs
+from repro.runtime.objects import HeapObject, iter_heap_refs, scan_values
 from repro.runtime.waitreason import WaitReason
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -312,8 +312,7 @@ class Goroutine(HeapObject):
         gen = self.gen
         while gen is not None and getattr(gen, "gi_frame", None) is not None:
             frame = gen.gi_frame
-            for value in frame.f_locals.values():
-                yield from iter_heap_refs(value)
+            yield from scan_values(frame.f_locals.values())
             gen = getattr(gen, "gi_yieldfrom", None)
         yield from iter_heap_refs(self.pending_value)
         for sd in self.sudogs:

@@ -23,6 +23,7 @@ stack would.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 #: Simulated pointer size in bytes; used by the default size model.
@@ -210,8 +211,7 @@ class Struct(HeapObject):
         self.fields[name] = value
 
     def referents(self) -> Iterator[HeapObject]:
-        for value in self.fields.values():
-            yield from iter_heap_refs(value)
+        return scan_values(self.fields.values())
 
     def checkpoint_state(self) -> Any:
         return dict(self.fields)
@@ -251,8 +251,7 @@ class Slice(HeapObject):
         return iter(self.items)
 
     def referents(self) -> Iterator[HeapObject]:
-        for value in self.items:
-            yield from iter_heap_refs(value)
+        return scan_values(self.items)
 
     def checkpoint_state(self) -> Any:
         return list(self.items)
@@ -333,9 +332,7 @@ class GoMap(HeapObject):
         self.resize(self.size - self.BYTES_PER_ENTRY)
 
     def referents(self) -> Iterator[HeapObject]:
-        for key, value in self.entries.items():
-            yield from iter_heap_refs(key)
-            yield from iter_heap_refs(value)
+        return scan_values(chain.from_iterable(self.entries.items()))
 
     def checkpoint_state(self) -> Any:
         return dict(self.entries)
@@ -365,23 +362,52 @@ class Blob(HeapObject):
         super().__init__(size=size)
 
 
-def iter_heap_refs(value: Any, _depth: int = 0) -> Iterator[HeapObject]:
-    """Yield heap objects found in ``value``, scanning through containers.
+#: Exact types that can never hold a heap reference.  The scanner skips
+#: them without a call, as Go's allocator puts pointer-free objects in
+#: *noscan* spans the collector never walks.  Exact-type matching keeps
+#: subclasses (``IntEnum``, ``str`` subclasses, ...) on the general path.
+_LEAF_TYPES = frozenset((int, float, complex, str, bytes, bool, type(None)))
+
+#: Containers the scanner walks through.  For the exact types, one
+#: C-level pass over ``map(type, value)`` rejects a pointer-free container;
+#: subclasses may override iteration, so they are walked element by element.
+_SEQUENCES = (list, tuple, set, frozenset)
+_PLAIN_SEQUENCES = frozenset(_SEQUENCES)
+
+
+def scan_values(values: Iterable[Any], _depth: int = 0) -> Iterator[HeapObject]:
+    """Yield heap objects found in ``values``, scanning through containers.
 
     This is the conservative scanner used for goroutine stack frames and
-    for the payload slots of runtime objects.  It recognizes
-    :class:`HeapObject` instances directly and recurses (bounded) through
-    plain Python lists, tuples, dicts, sets and frozensets.
+    for the payload slots of runtime objects.  Each element of ``values``
+    is scanned at depth ``_depth``: :class:`HeapObject` instances are
+    yielded directly, and plain Python lists, tuples, sets, frozensets
+    and dicts (key, then value) are recursed through, bounded by
+    ``_MAX_SCAN_DEPTH``.  Pointer-free values and containers of them
+    yield nothing, so they are skipped without recursion; the skipping
+    never changes which objects are yielded, in what order or how often,
+    which matters because marking charges one work unit per yielded edge.
     """
-    if isinstance(value, HeapObject):
-        yield value
-        return
-    if _depth >= _MAX_SCAN_DEPTH:
-        return
-    if isinstance(value, (list, tuple, set, frozenset)):
-        for item in value:
-            yield from iter_heap_refs(item, _depth + 1)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from iter_heap_refs(key, _depth + 1)
-            yield from iter_heap_refs(item, _depth + 1)
+    leaf = _LEAF_TYPES
+    for value in values:
+        cls = type(value)
+        if cls in leaf:
+            continue
+        if isinstance(value, HeapObject):
+            yield value
+        elif _depth < _MAX_SCAN_DEPTH:
+            if isinstance(value, _SEQUENCES):
+                if cls in _PLAIN_SEQUENCES and leaf.issuperset(map(type, value)):
+                    continue
+                yield from scan_values(value, _depth + 1)
+            elif isinstance(value, dict):
+                if (cls is dict and leaf.issuperset(map(type, value))
+                        and leaf.issuperset(map(type, value.values()))):
+                    continue
+                yield from scan_values(
+                    chain.from_iterable(value.items()), _depth + 1)
+
+
+def iter_heap_refs(value: Any) -> Iterator[HeapObject]:
+    """Yield heap objects found in a single ``value`` (see :func:`scan_values`)."""
+    return scan_values((value,))

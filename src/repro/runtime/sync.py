@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import NegativeWaitGroupCounter, UnlockOfUnlockedMutex
-from repro.runtime.objects import WORD_SIZE, HeapObject
+from repro.runtime.objects import WORD_SIZE, HeapObject, scan_values
 
 
 class Mutex(HeapObject):
@@ -213,8 +213,5 @@ class Pool(HeapObject):
         return len(self._items) + len(self._victims)
 
     def referents(self):
-        from repro.runtime.objects import iter_heap_refs
-        for item in self._items:
-            yield from iter_heap_refs(item)
-        for item in self._victims:
-            yield from iter_heap_refs(item)
+        yield from scan_values(self._items)
+        yield from scan_values(self._victims)
